@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot
+.PHONY: all ci vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot profile
 
 all: ci
 
@@ -96,7 +96,16 @@ open-smoke:
 # that panics, a metric that stops compiling — fails ci. Numbers from
 # -benchtime=1x are noise; `make bench` produces the real ones.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/machine .
+
+# CPU profile of the serial test-size table3 run, printed as the top
+# functions by flat time. -shards 1 keeps the kernel serial: the default
+# -shards 0 hands spare host cores to kernel shards.
+profile:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/paperbench" ./cmd/paperbench && \
+	"$$dir/paperbench" -size test -j 1 -shards 1 -cpuprofile "$$dir/cpu.pprof" table3 > /dev/null && \
+	$(GO) tool pprof -top -nodecount 40 "$$dir/paperbench" "$$dir/cpu.pprof"
 
 # Service self-test: start simd on a random port with a temp store,
 # POST a tiny job under the full lossy chaos scenario, assert HTTP 200,

@@ -79,8 +79,9 @@ func NewL1(sys *System, core int, proto Protocol, sizeBytes, ways int) *L1 {
 		sets:    make([][]l1Line, numSets),
 		hitLat:  1,
 	}
+	slab := make([]l1Line, numSets*ways)
 	for i := range l.sets {
-		l.sets[i] = make([]l1Line, ways)
+		l.sets[i] = slab[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	sys.l1s[core] = l
 	return l

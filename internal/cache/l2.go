@@ -70,7 +70,7 @@ type bank struct {
 	id   int
 	node noc.NodeID
 	res  *sim.Resource
-	sets [][]l2Line
+	sets [][]l2Line // a set is nil until lookup first touches it
 	mc   *dram.Controller
 }
 
@@ -101,9 +101,20 @@ func (l *l2Line) hasWordOwners() bool {
 }
 
 // NewSystem builds the hierarchy. L1s are attached afterwards with NewL1.
+// L2 sets are built on first touch (see lookup), so construction
+// allocates no L2 lines.
 func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 	if len(cfg.BankNode) == 0 || len(cfg.MCs) != len(cfg.BankNode) {
 		panic("cache: need one MC per bank")
+	}
+	if cfg.NumCores > maxCores {
+		panic(fmt.Sprintf("cache: NumCores = %d exceeds the directory's %d-core sharer vector", cfg.NumCores, maxCores))
+	}
+	if cfg.L2SetsPerBank < 1 {
+		panic(fmt.Sprintf("cache: L2SetsPerBank = %d, need at least 1", cfg.L2SetsPerBank))
+	}
+	if cfg.L2Ways < 1 {
+		panic(fmt.Sprintf("cache: L2Ways = %d, need at least 1", cfg.L2Ways))
 	}
 	if cfg.BankLat == 0 {
 		cfg.BankLat = 4
@@ -113,28 +124,29 @@ func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 	}
 	s := &System{cfg: cfg, mesh: m, mem: backing, recallScratch: make([]uint8, cfg.NumCores)}
 	for b := range cfg.BankNode {
-		bk := &bank{
+		s.banks = append(s.banks, &bank{
 			id:   b,
 			node: cfg.BankNode[b],
 			res:  sim.NewResource(fmt.Sprintf("l2bank%d", b)),
 			sets: make([][]l2Line, cfg.L2SetsPerBank),
 			mc:   cfg.MCs[b],
-		}
-		for i := range bk.sets {
-			ways := make([]l2Line, cfg.L2Ways)
-			for w := range ways {
-				ways[w].owner = -1
-				ways[w].sharers = newBitset(cfg.NumCores)
-				for j := range ways[w].wordOwner {
-					ways[w].wordOwner[j] = -1
-				}
-			}
-			bk.sets[i] = ways
-		}
-		s.banks = append(s.banks, bk)
+		})
 	}
 	s.l1s = make([]*L1, cfg.NumCores)
 	return s
+}
+
+// newL2Set builds one empty set: every way invalid, with no MESI owner
+// and no DeNovo word owners.
+func newL2Set(ways int) []l2Line {
+	set := make([]l2Line, ways)
+	for w := range set {
+		set[w].owner = -1
+		for j := range set[w].wordOwner {
+			set[w].wordOwner[j] = -1
+		}
+	}
+	return set
 }
 
 // Mem returns the DRAM backing store.
@@ -159,7 +171,12 @@ func (b *bank) setIndex(la mem.Addr, numBanks, numSets int) int {
 // DRAM on a miss (and evicting an existing line if the set is full).
 // ready is when the line's data is available at the bank.
 func (s *System) lookup(now sim.Time, b *bank, la mem.Addr) (line *l2Line, ready sim.Time) {
-	set := b.sets[b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)]
+	si := b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)
+	set := b.sets[si]
+	if set == nil {
+		set = newL2Set(s.cfg.L2Ways)
+		b.sets[si] = set
+	}
 	s.tick++
 	var victim *l2Line
 	for i := range set {

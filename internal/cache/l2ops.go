@@ -174,7 +174,8 @@ func (s *System) l2EvictNotify(now sim.Time, core int, la mem.Addr) {
 	}
 }
 
-// peek returns the L2 line for la if present, without filling.
+// peek returns the L2 line for la if present, without filling. A set
+// never touched is nil and holds no line; peek does not build it.
 func (s *System) peek(b *bank, la mem.Addr) *l2Line {
 	set := b.sets[b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)]
 	for i := range set {

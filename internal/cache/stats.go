@@ -67,34 +67,27 @@ type L2Stats struct {
 	AmoOps    uint64 // AMOs performed at the L2 (no-ownership protocols)
 }
 
+// maxCores is the largest core count the directory's sharer vector
+// can name: bT256, the paper's biggest configuration.
+const maxCores = 256
+
 // bitset is a fixed-capacity set of core IDs used for the directory's
-// precise MESI sharer list.
-type bitset struct{ w []uint64 }
+// precise MESI sharer list. It is an inline array rather than a slice
+// so an l2Line holds no pointers: the GC never scans the L2, and
+// building a set is one allocation.
+type bitset [maxCores / 64]uint64
 
-func newBitset(n int) bitset { return bitset{w: make([]uint64, (n+63)/64)} }
+func (b *bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
+func (b *bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
+func (b *bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
-func (b *bitset) set(i int)      { b.w[i/64] |= 1 << (i % 64) }
-func (b *bitset) clear(i int)    { b.w[i/64] &^= 1 << (i % 64) }
-func (b *bitset) has(i int) bool { return b.w[i/64]&(1<<(i%64)) != 0 }
+func (b *bitset) empty() bool { return *b == bitset{} }
 
-func (b *bitset) empty() bool {
-	for _, w := range b.w {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (b *bitset) clearAll() { *b = bitset{} }
 
-func (b *bitset) clearAll() {
-	for i := range b.w {
-		b.w[i] = 0
-	}
-}
-
-// forEach calls f for every set bit.
+// forEach calls f for every set bit, in ascending order.
 func (b *bitset) forEach(f func(i int)) {
-	for wi, w := range b.w {
+	for wi, w := range b {
 		for w != 0 {
 			i := wi*64 + bits.TrailingZeros64(w)
 			f(i)
@@ -105,7 +98,7 @@ func (b *bitset) forEach(f func(i int)) {
 
 func (b *bitset) count() int {
 	n := 0
-	for _, w := range b.w {
+	for _, w := range b {
 		n += bits.OnesCount64(w)
 	}
 	return n

@@ -100,7 +100,8 @@ func New(cfg Config) *Machine {
 			cfg.Name, cfg.Rows, cfg.Cols, cfg.NumCores()))
 	}
 	if cfg.NumBanks > cfg.Cols {
-		panic(fmt.Sprintf("machine %q: %d banks need %d columns", cfg.Name, cfg.NumBanks, cfg.NumBanks))
+		panic(fmt.Sprintf("machine %q: %d banks do not fit in %d mesh columns (one bank per column)",
+			cfg.Name, cfg.NumBanks, cfg.Cols))
 	}
 	k := sim.NewKernel()
 	if cfg.Deadline > 0 {

@@ -105,7 +105,7 @@ func TestSmokeRunSimpleProgram(t *testing.T) {
 	}
 }
 
-func mustCfg(t *testing.T, name string) Config {
+func mustCfg(t testing.TB, name string) Config {
 	t.Helper()
 	c, err := Lookup(name)
 	if err != nil {
