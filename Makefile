@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot profile
+.PHONY: all ci vet build test race parallel-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot profile
 
 all: ci
 
-ci: vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke
+ci: vet build test race parallel-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke
 
 vet:
 	$(GO) vet ./...
@@ -17,13 +17,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The merged executor is single-goroutine-at-a-time by construction,
-# but the epoch-parallel shard executor (PR 10) runs real worker
-# goroutines inside the kernel, so internal/sim and the bench layer
-# (singleflight caches, Prewarm worker pool, the parallel-vs-serial
-# determinism tests) get the full -cpu=1,2,4 spread; the other
-# concurrent packages — wsrt, openload, serve, store — run at the
-# default GOMAXPROCS.
+# The event kernel runs one goroutine at a time by construction, but
+# the bench layer's Prewarm worker pool and singleflight caches run
+# simulations on real host workers, so internal/sim and the bench layer
+# (with its parallel-vs-serial determinism tests) get the full
+# -cpu=1,2,4 spread; the other concurrent packages — wsrt, openload,
+# serve, store — run at the default GOMAXPROCS.
 race:
 	$(GO) test -race -cpu=1,2,4 ./internal/sim ./internal/bench/...
 	$(GO) test -race ./internal/mem ./internal/graph ./internal/fault ./internal/wsrt ./internal/openload ./internal/serve ./internal/store
@@ -34,30 +33,6 @@ race:
 # (see EXPERIMENTS.md "Host-parallel runs").
 parallel-smoke:
 	$(GO) run ./cmd/paperbench -size test -apps cilk5-cs,ligra-bfs -j 4 table4 fig6 uli
-
-# Sharded-kernel equivalence gate: the same run serial and on a 4-way
-# conservative-lookahead sharded kernel must print byte-identical
-# reports (shard accounting goes to stderr precisely so this cmp can
-# hold; see DESIGN.md "Conservative-lookahead parallel simulation").
-pdes-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/btsim" ./cmd/btsim && \
-	"$$dir/btsim" -config bT/HCC-DTS-gwb -app cilk5-cs -size test > "$$dir/serial.txt" && \
-	"$$dir/btsim" -config bT/HCC-DTS-gwb -app cilk5-cs -size test -shards 4 > "$$dir/sharded.txt" && \
-	cmp "$$dir/serial.txt" "$$dir/sharded.txt" && echo "pdes-smoke: serial and 4-shard runs identical"
-
-# Epoch-parallel executor equivalence gate: the same runs with each
-# simulation's shard event streams on a pool of host workers
-# (-shard-exec parallel) must print byte-identical rendered tables AND
-# a byte-identical -json metric export (executor accounting goes to
-# stderr, like shard accounting; see DESIGN.md §17).
-pdes-exec-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/paperbench" ./cmd/paperbench && \
-	"$$dir/paperbench" -size test -apps cilk5-cs -shards 1 -json "$$dir/serial.json" table4 uli > "$$dir/serial.txt" && \
-	"$$dir/paperbench" -size test -apps cilk5-cs -shards 4 -shard-exec parallel -json "$$dir/par.json" table4 uli > "$$dir/par.txt" && \
-	cmp "$$dir/serial.txt" "$$dir/par.txt" && cmp "$$dir/serial.json" "$$dir/par.json" && \
-	echo "pdes-exec-smoke: serial and 4-shard parallel-executor runs identical (tables and JSON)"
 
 # A fast end-to-end chaos pass: two apps under every stock scenario on
 # the 8-core chaos machine, output verified against the serial
@@ -99,12 +74,11 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/machine .
 
 # CPU profile of the serial test-size table3 run, printed as the top
-# functions by flat time. -shards 1 keeps the kernel serial: the default
-# -shards 0 hands spare host cores to kernel shards.
+# functions by flat time.
 profile:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/paperbench" ./cmd/paperbench && \
-	"$$dir/paperbench" -size test -j 1 -shards 1 -cpuprofile "$$dir/cpu.pprof" table3 > /dev/null && \
+	"$$dir/paperbench" -size test -j 1 -cpuprofile "$$dir/cpu.pprof" table3 > /dev/null && \
 	$(GO) tool pprof -top -nodecount 40 "$$dir/paperbench" "$$dir/cpu.pprof"
 
 # Service self-test: start simd on a random port with a temp store,
@@ -115,13 +89,9 @@ profile:
 serve-smoke:
 	$(GO) run ./cmd/simd -smoke
 
-# Regenerate BENCH_PR10.json and append this commit's measurement to
-# the cumulative BENCH.json trajectory: the kernel microbenchmark, a
-# strictly serial ref-size table3 pass, and the same worklist on 2/4/8
-# conservative-lookahead kernel shards under both the merged and the
-# epoch-parallel executors, measured on this host. The PR file's
-# "before" baseline section is preserved; only "after" and the derived
-# speedup ratios are rewritten (see EXPERIMENTS.md "Profiling and
+# Append this commit's measurement to the cumulative BENCH.json
+# trajectory: the kernel microbenchmark and a strictly serial ref-size
+# table3 pass, measured on this host (see EXPERIMENTS.md "Profiling and
 # benchmarking").
 bench:
 	$(GO) run ./cmd/paperbench bench

@@ -2,10 +2,9 @@
 //
 // Usage:
 //
-//	paperbench [-size test|ref|big] [-apps a,b,c] [-j N] [-shards K]
-//	           [-shard-exec merged|parallel] [-exec-workers N]
-//	           [-faults s1,s2] [-fault-seed N] [-deadline cycles]
-//	           [-cpuprofile f] [-memprofile f] [-v] [targets...]
+//	paperbench [-size test|ref|big] [-apps a,b,c] [-j N] [-faults s1,s2]
+//	           [-fault-seed N] [-deadline cycles] [-cpuprofile f]
+//	           [-memprofile f] [-bench-history f] [-v] [targets...]
 //	paperbench serve [simd flags]
 //	paperbench bench-check [-gates f] [-iterations N] [-confidence c]
 //	           [-bench-history f] [-check-json f] [-update-baseline] [-v]
@@ -22,11 +21,10 @@
 // percentiles, shedding) across coherence configs with and without
 // fault injection; -open-json exports the cells. The bench target
 // measures host throughput (simulated cycles/sec, kernel events/sec,
-// allocs/event), writes it to -bench-out, and appends a per-commit
-// entry to the cumulative -bench-history trajectory (see EXPERIMENTS.md
-// "Profiling and benchmarking"), with a one-line hint when the new
-// numbers slipped enough that the regression gate would likely flag
-// them.
+// allocs/event) and appends a per-commit entry to the cumulative
+// -bench-history trajectory (see EXPERIMENTS.md "Profiling and
+// benchmarking"), with a one-line hint when the new numbers slipped
+// enough that the regression gate would likely flag them.
 //
 // The bench-check subcommand is the perf-regression gate: it
 // re-measures every series the -gates worklist declares (N iterations
@@ -45,15 +43,8 @@
 // paperbench fans them out over -j host workers (default: all host
 // cores) before rendering; tables and figures are always rendered
 // serially from the warmed cache, so the output is byte-identical at
-// any -j. -shards K additionally splits each simulation's event kernel
-// into K conservative-lookahead shards (byte-identical at any K; 0
-// picks K from the host cores -j leaves over). -shard-exec parallel
-// additionally runs each sharded simulation's shard event streams on a
-// bounded pool of host workers (-exec-workers; the pool draws from the
-// same host-core budget) — still byte-identical; see DESIGN.md §17.
-// -j and -shards draw from one shared host-core budget: when their
-// product oversubscribes the host, the jobs side is clamped with a
-// warning.
+// any -j. Each simulation runs on one event kernel; -j is the only
+// host-parallelism knob.
 //
 // The serve subcommand runs the same daemon as cmd/simd (see that
 // command and EXPERIMENTS.md "Running the service").
@@ -72,7 +63,6 @@ import (
 	"bigtiny/internal/apps"
 	"bigtiny/internal/bench"
 	"bigtiny/internal/fault"
-	"bigtiny/internal/machine"
 	"bigtiny/internal/serve"
 	"bigtiny/internal/sim"
 )
@@ -177,12 +167,6 @@ func run() int {
 	size := flag.String("size", "ref", "input size: test, ref, or big")
 	appList := flag.String("apps", "", "comma-separated app subset (default: all 13)")
 	jobs := flag.Int("j", 0, "host workers for the simulation fan-out (0 = all host cores, 1 = serial)")
-	shards := flag.Int("shards", 0,
-		"conservative-lookahead kernel shards per simulation, byte-identical at any count (0 = host cores left over by -j, 1 = serial)")
-	shardExec := flag.String("shard-exec", "merged",
-		"sharded-kernel executor: merged, or parallel (epoch-parallel host worker pool; byte-identical results)")
-	execWorkers := flag.Int("exec-workers", 0,
-		"parallel-executor worker pool bound per simulation (0 = one worker per shard)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	noVerify := flag.Bool("no-verify", false, "skip output verification after each run")
 	jsonOut := flag.String("json", "", "also dump all collected metrics as JSON to this file")
@@ -193,10 +177,8 @@ func run() int {
 		"per-run simulated-cycle deadline; a run past it fails with a machine-state dump (0 = each config's watchdog default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	benchOut := flag.String("bench-out", "BENCH_PR10.json",
-		"output file for the bench target (an existing 'before' baseline section is preserved)")
 	benchHistory := flag.String("bench-history", "BENCH.json",
-		"cumulative per-commit trajectory file the bench target appends to (empty = no trajectory)")
+		"cumulative per-commit trajectory file the bench target appends to (empty = print only)")
 	openJSON := flag.String("open-json", "",
 		"also dump the open target's sweep results as JSON to this file")
 	flag.Parse()
@@ -231,22 +213,10 @@ func run() int {
 		}()
 	}
 
-	// Reject a bad -shards before any simulation work, same fail-fast
-	// policy as -faults below. The per-config clamp (e.g. 1-core IOx1
-	// runs serial regardless) happens inside machine.New; only values
-	// no config could honor are errors here.
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "paperbench: -shards %d: shard count must be at least 1 (or 0 for auto)\n", *shards)
-		return 2
-	}
-	if *shards > machine.MaxShards {
-		fmt.Fprintf(os.Stderr, "paperbench: -shards %d exceeds the %d-shard kernel limit\n",
-			*shards, machine.MaxShards)
-		return 2
-	}
-	execMode, err := sim.ParseExecMode(*shardExec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench: -shard-exec:", err)
+	// Reject a bad -j before any simulation work, same fail-fast policy
+	// as -faults below: a typo must not silently run on all cores.
+	if *jobs < 0 {
+		fmt.Fprintf(os.Stderr, "paperbench: -j %d: host worker count must be at least 0 (0 = all host cores)\n", *jobs)
 		return 2
 	}
 
@@ -315,21 +285,9 @@ func run() int {
 		}
 	}
 
-	// -j and -shards share one host-core budget; an explicit pair that
-	// oversubscribes the host clamps the jobs side (shards is the
-	// user's decomposition choice), warned about like ignored -faults.
-	gotJobs, gotShards, clamped := bench.HostBudget(*jobs, *shards, 0)
-	if clamped {
-		fmt.Fprintf(os.Stderr, "paperbench: warning: -j %d x -shards %d oversubscribes the %d-core host; running %d jobs\n",
-			*jobs, *shards, runtime.NumCPU(), gotJobs)
-	}
-
 	s := bench.NewSuite(sz)
 	s.Verify = !*noVerify
 	s.Deadline = sim.Time(*deadline)
-	s.Shards = gotShards
-	s.ShardExec = execMode
-	s.ExecWorkers = *execWorkers
 	if *verbose {
 		s.Progress = os.Stderr
 	}
@@ -346,7 +304,7 @@ func run() int {
 			work = append(work, wl...)
 		}
 	}
-	if err := s.Prewarm(work, gotJobs); err != nil {
+	if err := s.Prewarm(work, *jobs); err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench: warning:", err)
 	}
 
@@ -375,7 +333,7 @@ func run() int {
 		case "energy":
 			err = s.EnergyReport(out, names)
 		case "chaos":
-			err = bench.Chaos(out, names, chaosScenarios, *faultSeed, gotJobs, gotShards, execMode)
+			err = bench.Chaos(out, names, chaosScenarios, *faultSeed, *jobs)
 		case "open":
 			err = s.Open(out, bench.DefaultOpenSweep(sz))
 		case "bench":
@@ -383,7 +341,7 @@ func run() int {
 			if *verbose {
 				progress = os.Stderr
 			}
-			err = bench.HostBench(out, sz, names, bench.DefaultShardSweep, *benchOut, *benchHistory, gitCommit(), progress)
+			err = bench.HostBench(out, sz, names, *benchHistory, gitCommit(), progress)
 		default:
 			err = fmt.Errorf("unknown target %q", t)
 		}
@@ -392,21 +350,6 @@ func run() int {
 			return 1
 		}
 		fmt.Fprintln(out)
-	}
-
-	// Shard accounting mirrors btsim's: stderr only, so stdout stays
-	// byte-comparable across shard counts.
-	if gotShards > 1 {
-		if o := s.ShardObs(); o.ActiveEpochs > 0 || o.CrossPosts > 0 {
-			fmt.Fprintf(os.Stderr,
-				"paperbench: shards %d: %d cross-shard posts, %d lookahead violations, avg concurrency %.2f\n",
-				gotShards, o.CrossPosts, o.Violations, o.AvgConcurrency())
-		}
-		if execMode == sim.ExecParallel {
-			eo := s.ExecObs()
-			fmt.Fprintf(os.Stderr, "paperbench: shard-exec parallel: %d handoffs, %d inline, %d outboxed, %d flushes\n",
-				eo.Handoffs, eo.Inline, eo.Outboxed, eo.Flushes)
-		}
 	}
 
 	if *jsonOut != "" {

@@ -68,20 +68,6 @@ type Suite struct {
 	// deadline, bit-identical to an unbounded run, or errors), so the
 	// result cache does not key on it.
 	Deadline sim.Time
-	// Shards splits every simulation's event kernel into that many
-	// conservative-lookahead shards (machine.Config.Shards; <= 1 runs
-	// serial). Sharding is a host-execution knob: results are
-	// byte-identical at any value, so — like Deadline — it is not part
-	// of the result cache key.
-	Shards int
-	// ShardExec selects the sharded kernel's executor
-	// (machine.Config.ShardExec): merged dispatch or the epoch-parallel
-	// worker pool. Also a host-execution knob with byte-identical
-	// results, and likewise excluded from the result cache key.
-	ShardExec sim.ExecMode
-	// ExecWorkers bounds the parallel executor's pool per simulation
-	// (machine.Config.ExecWorkers); <= 0 means one worker per shard.
-	ExecWorkers int
 	// SimHook, when non-nil, runs at the top of every simulation with
 	// the cell's names (and of every Cilkview analysis, with cfgName
 	// "view"), inside the suite's panic containment. It exists so
@@ -118,22 +104,6 @@ type Suite struct {
 	eventsScheduled atomic.Uint64
 	eventsFired     atomic.Uint64
 	fastWaits       atomic.Uint64
-	// Shard-decomposition totals (zero unless Shards > 1): cross-shard
-	// event posts, conservative-lookahead violations, and epoch
-	// accounting, summed over every sharded simulation (see
-	// sim.ShardStats).
-	shardCrossPosts   atomic.Uint64
-	shardViolations   atomic.Uint64
-	shardActiveEpochs atomic.Uint64
-	shardEpochSum     atomic.Uint64
-	// Parallel-executor totals (zero unless ShardExec == ExecParallel):
-	// token handoffs into the worker pool, callbacks run inline on the
-	// worker already holding the token, outboxed cross-shard posts, and
-	// outbox flushes (see sim.ExecStats).
-	execHandoffs atomic.Uint64
-	execInline   atomic.Uint64
-	execOutboxed atomic.Uint64
-	execFlushes  atomic.Uint64
 }
 
 // flightCall is one in-flight simulation or analysis; waiters block on
@@ -190,9 +160,6 @@ func (s *Suite) at(size apps.Size, grain int) *Suite {
 	sub.Verify = s.Verify
 	sub.Progress = s.Progress
 	sub.Deadline = s.Deadline
-	sub.Shards = s.Shards
-	sub.ShardExec = s.ShardExec
-	sub.ExecWorkers = s.ExecWorkers
 	sub.SimHook = s.SimHook
 	sub.progressMu = s.progressMu
 	s.subs[key] = sub
@@ -290,9 +257,6 @@ func (s *Suite) simulate(ctx context.Context, cfgName, appName string) (r *stats
 		cfg.FaultSeed = s.FaultSeed
 	}
 	cfg.Oracle = s.Oracle
-	cfg.Shards = s.Shards
-	cfg.ShardExec = s.ShardExec
-	cfg.ExecWorkers = s.ExecWorkers
 	app, err := apps.ByName(appName)
 	if err != nil {
 		return nil, err
@@ -334,18 +298,6 @@ func (s *Suite) simulate(ctx context.Context, cfgName, appName string) (r *stats
 	s.eventsScheduled.Add(m.Kernel.Scheduled())
 	s.eventsFired.Add(m.Kernel.Fired())
 	s.fastWaits.Add(m.Kernel.FastWaits())
-	if st := m.ShardStats(); st != nil {
-		s.shardCrossPosts.Add(st.CrossPosts)
-		s.shardViolations.Add(st.Violations)
-		s.shardActiveEpochs.Add(st.ActiveEpochs)
-		s.shardEpochSum.Add(st.ShardEpochs)
-	}
-	if es := m.Kernel.ExecStats(); es != nil {
-		s.execHandoffs.Add(es.Handoffs)
-		s.execInline.Add(es.Inline)
-		s.execOutboxed.Add(es.Outboxed)
-		s.execFlushes.Add(es.Flushes)
-	}
 	s.progress("ran %-14s on %-16s: %12d cycles\n", appName, cfgName, r.Cycles)
 	return r, nil
 }
@@ -370,89 +322,6 @@ func (s *Suite) HostCounters() (scheduled, fired, fastWaits uint64) {
 		fastWaits += fw
 	}
 	return scheduled, fired, fastWaits
-}
-
-// ShardObs is the shard-decomposition accounting a suite accumulates
-// over every sharded simulation it ran (all-zero on a serial suite).
-// Violations must stay zero on correctly partitioned machines; the
-// equivalence tests assert it.
-type ShardObs struct {
-	CrossPosts   uint64 // events posted from one shard into another
-	Violations   uint64 // cross-shard posts closer than the lookahead
-	ActiveEpochs uint64 // lookahead epochs with at least one event fired
-	ShardEpochs  uint64 // sum over epochs of distinct shards that fired
-}
-
-// AvgConcurrency is the mean number of distinct shards firing per
-// active lookahead epoch — the speedup ceiling a lock-step
-// epoch-parallel executor could extract from these runs (1 when no
-// sharded run happened).
-func (o ShardObs) AvgConcurrency() float64 {
-	if o.ActiveEpochs == 0 {
-		return 1
-	}
-	return float64(o.ShardEpochs) / float64(o.ActiveEpochs)
-}
-
-// ShardObs returns the shard-decomposition totals over every sharded
-// simulation this suite and its derived sub-suites have run.
-func (s *Suite) ShardObs() ShardObs {
-	o := ShardObs{
-		CrossPosts:   s.shardCrossPosts.Load(),
-		Violations:   s.shardViolations.Load(),
-		ActiveEpochs: s.shardActiveEpochs.Load(),
-		ShardEpochs:  s.shardEpochSum.Load(),
-	}
-	s.mu.Lock()
-	subs := make([]*Suite, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	s.mu.Unlock()
-	for _, sub := range subs {
-		so := sub.ShardObs()
-		o.CrossPosts += so.CrossPosts
-		o.Violations += so.Violations
-		o.ActiveEpochs += so.ActiveEpochs
-		o.ShardEpochs += so.ShardEpochs
-	}
-	return o
-}
-
-// ExecObs is the parallel-executor accounting a suite accumulates over
-// every simulation it ran under sim.ExecParallel (all-zero otherwise).
-// Host-side observability only — none of it appears in any table or
-// JSON export, which is how executor modes stay cmp-identical.
-type ExecObs struct {
-	Handoffs uint64 // token handoffs into the worker pool
-	Inline   uint64 // callbacks run on the worker already holding the token
-	Outboxed uint64 // cross-shard posts deferred through outboxes
-	Flushes  uint64 // outbox flushes (≈ active epoch barriers)
-}
-
-// ExecObs returns the parallel-executor totals over every simulation
-// this suite and its derived sub-suites have run.
-func (s *Suite) ExecObs() ExecObs {
-	o := ExecObs{
-		Handoffs: s.execHandoffs.Load(),
-		Inline:   s.execInline.Load(),
-		Outboxed: s.execOutboxed.Load(),
-		Flushes:  s.execFlushes.Load(),
-	}
-	s.mu.Lock()
-	subs := make([]*Suite, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	s.mu.Unlock()
-	for _, sub := range subs {
-		eo := sub.ExecObs()
-		o.Handoffs += eo.Handoffs
-		o.Inline += eo.Inline
-		o.Outboxed += eo.Outboxed
-		o.Flushes += eo.Flushes
-	}
-	return o
 }
 
 // progress writes one whole progress line under the shared lock.

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -95,6 +99,92 @@ func TestFastPathMatchesParanoidTestSize(t *testing.T) {
 			slow := runKernelMode(t, cfgName, "cilk5-cs", apps.Test, true)
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("stats diverge:\nfast:     %+v\nparanoid: %+v", fast, slow)
+			}
+		})
+	}
+}
+
+// runTrial performs one suite simulation of appName on ChaosConfig with
+// the memory-ordering oracle on, under the given fault scenario and
+// seed, with the WaitUntil fast path on or off. It returns the metric
+// snapshot and the canonical JSON export. A run with an oracle
+// violation fails (machine.Run reports it), so a clean return means
+// zero violations.
+func runTrial(size apps.Size, appName string, grain int, scenario string, faultSeed uint64,
+	paranoid bool) (*stats.Run, []byte, error) {
+	prev := sim.KernelParanoid
+	sim.KernelParanoid = paranoid
+	defer func() { sim.KernelParanoid = prev }()
+
+	s := NewSuite(size)
+	s.Grain = grain
+	s.FaultScenario = scenario
+	s.FaultSeed = faultSeed
+	s.Oracle = true
+	r, err := s.Run(ChaosConfig, appName)
+	if err != nil {
+		return nil, nil, err
+	}
+	js, err := s.ResultJSON(context.Background(), ChaosConfig, appName)
+	return r, js, err
+}
+
+// TestDifferentialStress is the randomized differential harness: each
+// trial draws an (app, size, grain, fault scenario, fault seed) tuple,
+// runs it with the WaitUntil fast path and again under
+// sim.KernelParanoid with the oracle shadowing both, and requires
+// identical stats, a byte-identical JSON export, the ULI accounting
+// identity, and zero oracle violations. It extends
+// TestFastPathMatchesParanoid with faults, grains and the oracle. The
+// generator is seeded; a failing trial prints the btsim command that
+// replays its fast-path run.
+func TestDifferentialStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	rng := rand.New(rand.NewSource(20260808))
+	names := AppNames()
+	scenarios := append([]string{""}, ChaosScenarios...)
+	sizes := []apps.Size{apps.Empty, apps.Unit, apps.Test}
+	grains := []int{0, 1, 4}
+
+	const trials = 10
+	for i := 0; i < trials; i++ {
+		appName := names[rng.Intn(len(names))]
+		size := sizes[rng.Intn(len(sizes))]
+		grain := grains[rng.Intn(len(grains))]
+		scenario := scenarios[rng.Intn(len(scenarios))]
+		var faultSeed uint64
+		if scenario != "" {
+			faultSeed = uint64(rng.Intn(5) + 1)
+		}
+		replay := fmt.Sprintf("go run ./cmd/btsim -config %s -app %s -size %s -grain %d",
+			ChaosConfig, appName, size, grain)
+		if scenario != "" {
+			replay += fmt.Sprintf(" -faults %s -fault-seed %d", scenario, faultSeed)
+		}
+		replay += " -oracle"
+		t.Run(appName+"/"+size.String(), func(t *testing.T) {
+			fast, fastJS, err := runTrial(size, appName, grain, scenario, faultSeed, false)
+			if err != nil {
+				t.Fatalf("fast path: %v\nreplay: %s", err, replay)
+			}
+			slow, slowJS, err := runTrial(size, appName, grain, scenario, faultSeed, true)
+			if err != nil {
+				t.Fatalf("paranoid: %v\nreplay: %s", err, replay)
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("stats diverge:\nfast:     %+v\nparanoid: %+v\nreplay: %s", fast, slow, replay)
+			}
+			if !bytes.Equal(fastJS, slowJS) {
+				t.Fatalf("JSON export diverges:\nfast:     %s\nparanoid: %s\nreplay: %s", fastJS, slowJS, replay)
+			}
+			if u := fast.ULI; u != nil && u.Reqs != u.Acks+u.Nacks+u.Drops {
+				t.Fatalf("ULI accounting identity violated: reqs=%d acks=%d nacks=%d drops=%d\nreplay: %s",
+					u.Reqs, u.Acks, u.Nacks, u.Drops, replay)
+			}
+			if fast.OracleOps == 0 {
+				t.Fatalf("oracle checked no memory operations\nreplay: %s", replay)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bigtiny/internal/apps"
-	"bigtiny/internal/sim"
 )
 
 // TestWriteJSONLossyAccounting: the JSON export must carry the full
@@ -142,37 +141,22 @@ func TestSlowdownStr(t *testing.T) {
 }
 
 // TestChaosParallelMatchesSerial: the chaos table must be byte-identical
-// at any host worker count, any kernel shard count, and either shard
-// executor.
+// at any host worker count.
 func TestChaosParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	apps := []string{"cilk5-cs"}
 	scenarios := []string{"noc-jitter", "lossy-uli"}
-	var serial, parallel, sharded, execPar strings.Builder
-	if err := Chaos(&serial, apps, scenarios, 1, 1, 1, sim.ExecMerged); err != nil {
+	var serial, parallel strings.Builder
+	if err := Chaos(&serial, apps, scenarios, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Chaos(&parallel, apps, scenarios, 1, 4, 1, sim.ExecMerged); err != nil {
+	if err := Chaos(&parallel, apps, scenarios, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
 		t.Fatalf("chaos table diverged between jobs=1 and jobs=4:\n--- jobs=1\n%s--- jobs=4\n%s",
 			serial.String(), parallel.String())
-	}
-	if err := Chaos(&sharded, apps, scenarios, 1, 1, 4, sim.ExecMerged); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != sharded.String() {
-		t.Fatalf("chaos table diverged between shards=1 and shards=4:\n--- serial\n%s--- shards=4\n%s",
-			serial.String(), sharded.String())
-	}
-	if err := Chaos(&execPar, apps, scenarios, 1, 1, 4, sim.ExecParallel); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != execPar.String() {
-		t.Fatalf("chaos table diverged under the parallel executor:\n--- serial\n%s--- shards=4 parallel\n%s",
-			serial.String(), execPar.String())
 	}
 }

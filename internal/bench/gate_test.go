@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bigtiny/internal/apps"
-	"bigtiny/internal/sim"
 	"bigtiny/internal/stats"
 )
 
@@ -64,11 +63,9 @@ threshold = 0.25
 	}
 }
 
-// TestParseGatesOpenAndExec pins the open-gate and shard-executor
-// grammar: scenario/rate select the DefaultOpenSweep cell, shard_exec
-// tags the series so parallel-executor baselines never mix with merged
-// ones.
-func TestParseGatesOpenAndExec(t *testing.T) {
+// TestParseGatesOpen pins the open-gate grammar: scenario/rate select
+// the DefaultOpenSweep cell.
+func TestParseGatesOpen(t *testing.T) {
 	src := `
 [[gate]]
 kind = "open"
@@ -77,16 +74,6 @@ scenario = "chaos-lossy-all"
 rate = 4
 size = "test"
 metric = "latency_p99"
-threshold = 0.05
-
-[[gate]]
-kind = "cell"
-config = "bT8/HCC-DTS-gwb"
-app = "cilk5-cs"
-size = "test"
-shards = 4
-shard_exec = "parallel"
-metric = "sim_cycles"
 threshold = 0.05
 `
 	gates, err := ParseGates(strings.NewReader(src))
@@ -99,12 +86,6 @@ threshold = 0.05
 	}
 	if s := g.Series(); s != "gate:open[test]:bT8/HCC-DTS-gwb:chaos-lossy-all:r4:latency_p99" {
 		t.Fatalf("open series = %q", s)
-	}
-	if gates[1].ShardExec != sim.ExecParallel {
-		t.Fatalf("exec gate = %+v", gates[1])
-	}
-	if s := gates[1].Series(); s != "gate:cell[test,k4,par]:bT8/HCC-DTS-gwb:cilk5-cs:g0:sim_cycles" {
-		t.Fatalf("parallel cell series = %q", s)
 	}
 }
 
@@ -120,8 +101,6 @@ func TestParseGatesRejects(t *testing.T) {
 		"key outside":     "kind = \"kernel\"\n",
 		"no gates":        "# empty\n",
 		"unquoted string": "[[gate]]\nkind = kernel\nmetric = \"ns_per_event\"\nthreshold = 0.1\n",
-		"bad exec mode":   "[[gate]]\nkind = \"cell\"\nconfig = \"bT8/MESI\"\napp = \"cilk5-cs\"\nshards = 4\nshard_exec = \"turbo\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\n",
-		"parallel serial": "[[gate]]\nkind = \"cell\"\nconfig = \"bT8/MESI\"\napp = \"cilk5-cs\"\nshard_exec = \"parallel\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\n",
 		"open no rate":    "[[gate]]\nkind = \"open\"\nconfig = \"bT8/MESI\"\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
 		"open bad fault":  "[[gate]]\nkind = \"open\"\nconfig = \"bT8/MESI\"\nscenario = \"nope\"\nrate = 4\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
 		"open bad config": "[[gate]]\nkind = \"open\"\nconfig = \"bT/NOPE\"\nrate = 4\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
@@ -257,10 +236,7 @@ func TestBenchCheckDetectsSlowdown(t *testing.T) {
 
 // TestBenchCheckOpenGateDeterministic: the open-system latency gate
 // measures a deterministic number — repeated checks of an unchanged
-// tree return the exact same p99, so the gate can never flake — and the
-// parallel-executor cell gate is the byte-identity promise in gate
-// form: its sim_cycles baseline holds no matter which executor blessed
-// it.
+// tree return the exact same p99, so the gate can never flake.
 func TestBenchCheckOpenGateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -272,11 +248,6 @@ func TestBenchCheckOpenGateDeterministic(t *testing.T) {
 			Kind: "open", Config: "bT8/HCC-DTS-gwb", Scenario: "chaos-lossy-all",
 			Rate: 4, Size: apps.Empty, Metric: "latency_p99", Threshold: 0.05, Iterations: 2,
 		},
-		{
-			Kind: "cell", Config: "bT8/HCC-DTS-gwb", App: "cilk5-cs", Size: apps.Empty,
-			Shards: 4, ShardExec: sim.ExecParallel,
-			Metric: "sim_cycles", Threshold: 0.05, Iterations: 2,
-		},
 	}
 	var out bytes.Buffer
 	if _, err := BenchCheck(&out, gates, history, CheckOptions{Commit: commit, UpdateBaseline: true}); err != nil {
@@ -286,7 +257,7 @@ func TestBenchCheckOpenGateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed() || rep.OK != 2 {
+	if rep.Failed() || rep.OK != 1 {
 		t.Fatalf("unchanged tree: %+v\n%s", rep, out.String())
 	}
 	for _, g := range rep.Gates {

@@ -1,81 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestMergeBenchFilePreservesBefore: re-running `paperbench bench`
-// rewrites "after" and the ratios but keeps the "before" baseline.
-func TestMergeBenchFilePreservesBefore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_pr.json")
-	before := trajReport(50)
-	before.Table3Serial.WallSec = 3.0
-	seed := BenchFile{Before: before}
-	data, err := json.Marshal(&seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	after := trajReport(40)
-	after.Table3Serial.WallSec = 1.5
-	file, err := mergeBenchFile(path, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if file.Before == nil || file.Before.Kernel.NsPerEvent != 50 {
-		t.Fatalf("before baseline lost: %+v", file.Before)
-	}
-	if file.After.Kernel.NsPerEvent != 40 {
-		t.Fatalf("after not rewritten: %+v", file.After)
-	}
-	if file.Table3WallSpeedup != 2.0 {
-		t.Fatalf("wall speedup = %g, want 2.0", file.Table3WallSpeedup)
-	}
-
-	// The merged file on disk must parse back to the same shape.
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var round BenchFile
-	if err := json.Unmarshal(data, &round); err != nil {
-		t.Fatalf("merged file is not valid JSON: %v", err)
-	}
-	if round.Before == nil || round.Before.Kernel.NsPerEvent != 50 {
-		t.Fatalf("on-disk before baseline lost: %+v", round.Before)
-	}
-}
-
-// TestMergeBenchFileReadErrorPropagates: a read failure other than
-// not-exist (here: the path is a directory) must be an error — the old
-// behavior treated every read failure as "no file yet" and would have
-// overwritten the baseline.
-func TestMergeBenchFileReadErrorPropagates(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := mergeBenchFile(dir, trajReport(40)); err == nil {
-		t.Fatal("expected a read error merging into a directory path")
-	}
-}
-
-// TestMergeBenchFileRejectsGarbage refuses to clobber a file that is
-// not a BENCH file.
-func TestMergeBenchFileRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_pr.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mergeBenchFile(path, trajReport(40)); err == nil {
-		t.Fatal("expected an error merging into a non-JSON file")
-	}
-}
 
 // TestBenchHint: `paperbench bench` warns when a fresh measurement
 // slipped past the hint threshold vs the newest trajectory entry, and

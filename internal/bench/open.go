@@ -88,11 +88,8 @@ func (s *Suite) simulateOpen(ctx context.Context, cfgName, scenario string, faul
 	r, err = openload.Run(ctx, cfgName, sp, openload.Options{
 		Scenario:  scenario,
 		FaultSeed: faultSeed,
-		Oracle:      s.Oracle,
-		Deadline:    s.Deadline,
-		Shards:      s.Shards,
-		ShardExec:   s.ShardExec,
-		ExecWorkers: s.ExecWorkers,
+		Oracle:    s.Oracle,
+		Deadline:  s.Deadline,
 	})
 	if err != nil {
 		return nil, err

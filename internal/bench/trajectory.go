@@ -61,11 +61,9 @@ const (
 )
 
 // trajectoryBenches flattens a report into the named series. Names are
-// stable across PRs — renaming one would fork its plotted history. A
-// shard sweep contributes per-count series ("table3 k4 wall"), present
-// only on entries whose run measured that count.
+// stable across PRs — renaming one would fork its plotted history.
 func trajectoryBenches(rep *HostBenchReport) []TrajectoryBench {
-	benches := []TrajectoryBench{
+	return []TrajectoryBench{
 		{Name: "kernel ns/event", Value: rep.Kernel.NsPerEvent, Unit: "ns/event"},
 		{Name: "kernel allocs/event", Value: rep.Kernel.AllocsPerEvent, Unit: "allocs/event"},
 		{Name: "table3 serial wall", Value: rep.Table3Serial.WallSec, Unit: "s"},
@@ -73,19 +71,6 @@ func trajectoryBenches(rep *HostBenchReport) []TrajectoryBench {
 		{Name: "table3 events/sec", Value: rep.Table3Serial.EventsPerSec, Unit: "events/s"},
 		{Name: "table3 allocs/event", Value: rep.Table3Serial.AllocsPerEvent, Unit: "allocs/event"},
 	}
-	for _, b := range rep.Table3Sharded {
-		// The parallel-executor passes carry their own series — on a
-		// single-core host these track executor overhead, and must never
-		// share a baseline with the merged-executor wall numbers.
-		tag := ""
-		if b.ShardExec != "" {
-			tag = " " + b.ShardExec
-		}
-		benches = append(benches,
-			TrajectoryBench{Name: fmt.Sprintf("table3 k%d%s wall", b.Shards, tag), Value: b.WallSec, Unit: "s"},
-			TrajectoryBench{Name: fmt.Sprintf("table3 k%d%s sim-cycles/sec", b.Shards, tag), Value: b.SimCyclesPerSec, Unit: "cycles/s"})
-	}
-	return benches
 }
 
 // LoadTrajectory reads the trajectory file at path. A missing file is

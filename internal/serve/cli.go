@@ -13,9 +13,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"bigtiny/internal/machine"
-	"bigtiny/internal/sim"
 )
 
 // Main is the simulation daemon's CLI entry point, shared by `simd` and
@@ -26,10 +23,6 @@ func Main(prog string, args []string) int {
 	addr := fs.String("addr", "127.0.0.1:8723", "listen address (host:port; port 0 picks a free port)")
 	storeDir := fs.String("store", "", "crash-safe result store directory (empty = memory-only)")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = all host cores)")
-	shards := fs.Int("shards", 1,
-		"conservative-lookahead kernel shards per job, byte-identical at any count (1 = serial; workers shrink to fit the host budget)")
-	shardExec := fs.String("shard-exec", "merged",
-		"sharded-kernel executor per job: merged, or parallel (epoch-parallel host worker pool; byte-identical results)")
 	queueDepth := fs.Int("queue", 64, "admission queue depth; beyond it jobs get 429 + Retry-After")
 	deadline := fs.Uint64("deadline", 0, "default per-job simulated-cycle deadline (0 = each config's watchdog default)")
 	wall := fs.Duration("wall-timeout", 0, "per-job wall-clock budget, e.g. 30s (0 = none)")
@@ -47,27 +40,23 @@ func Main(prog string, args []string) int {
 		logf("unexpected arguments: %v", fs.Args())
 		return 2
 	}
-	// Reject a bad -shards before binding anything, same fail-fast
-	// policy as the other CLIs (NewServer re-checks the upper bound for
-	// programmatic callers).
-	if *shards < 1 {
-		logf("-shards %d: shard count must be at least 1", *shards)
+	// Reject out-of-range sizes before binding anything, the same
+	// fail-fast policy the other CLIs apply to -faults and -size: a typo
+	// must not silently become a default.
+	switch {
+	case *workers < 0:
+		logf("-workers %d: worker count must be at least 0 (0 = all host cores)", *workers)
 		return 2
-	}
-	if *shards > machine.MaxShards {
-		logf("-shards %d exceeds the %d-shard kernel limit", *shards, machine.MaxShards)
+	case *queueDepth < 1:
+		logf("-queue %d: admission queue depth must be at least 1", *queueDepth)
 		return 2
-	}
-	execMode, err := sim.ParseExecMode(*shardExec)
-	if err != nil {
-		logf("-shard-exec: %v", err)
+	case *quarantineAfter < 1:
+		logf("-quarantine-after %d: failure count must be at least 1", *quarantineAfter)
 		return 2
 	}
 
 	cfg := Config{
 		Workers:         *workers,
-		Shards:          *shards,
-		ShardExec:       execMode,
 		QueueDepth:      *queueDepth,
 		StoreDir:        *storeDir,
 		DeadlineCycles:  *deadline,
@@ -102,8 +91,8 @@ func Main(prog string, args []string) int {
 	hs := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	logf("listening on http://%s (workers=%d, shards=%d, queue=%d, store=%q)",
-		ln.Addr(), s.cfg.Workers, s.cfg.Shards, s.cfg.QueueDepth, cfg.StoreDir)
+	logf("listening on http://%s (workers=%d, queue=%d, store=%q)",
+		ln.Addr(), s.cfg.Workers, s.cfg.QueueDepth, cfg.StoreDir)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

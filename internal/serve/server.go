@@ -69,16 +69,6 @@ type Config struct {
 	QuarantineAfter int
 	// NoVerify skips output verification after each run.
 	NoVerify bool
-	// Shards splits each job's event kernel into conservative-lookahead
-	// shards (<= 1: serial). Results are byte-identical at any count, so
-	// neither cache nor store keys include it; workers and shards draw
-	// from one host-core budget (the worker pool shrinks to fit).
-	Shards int
-	// ShardExec selects the sharded kernel's executor for every job
-	// (sim.ExecParallel = the epoch-parallel worker pool). Byte-
-	// identical results either way, so it is likewise absent from all
-	// cache and store keys.
-	ShardExec sim.ExecMode
 
 	// suiteHook, when non-nil, is applied to every suite the server
 	// creates. Tests use it to install bench.Suite.SimHook failure
@@ -215,17 +205,6 @@ const maxSuites = 64
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
-	}
-	if cfg.Shards > machine.MaxShards {
-		return nil, fmt.Errorf("serve: %d shards exceeds the %d-shard kernel limit", cfg.Shards, machine.MaxShards)
-	}
-	if cfg.Shards > 1 {
-		if budget := runtime.NumCPU() / cfg.Shards; cfg.Workers > budget {
-			cfg.Workers = budget
-			if cfg.Workers < 1 {
-				cfg.Workers = 1
-			}
-		}
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -542,8 +521,6 @@ func (s *Server) suiteFor(req JobRequest, size apps.Size) *bench.Suite {
 		deadline = s.cfg.DeadlineCycles
 	}
 	su.Deadline = sim.Time(deadline)
-	su.Shards = s.cfg.Shards
-	su.ShardExec = s.cfg.ShardExec
 	if s.cfg.suiteHook != nil {
 		s.cfg.suiteHook(su)
 	}
@@ -662,8 +639,6 @@ func (s *Server) cellRecovered(key string) {
 type Health struct {
 	Status     string `json:"status"` // "ok" or "draining"
 	Workers    int    `json:"workers"`
-	Shards     int    `json:"shards,omitempty"`
-	ShardExec  string `json:"shard_exec,omitempty"`
 	QueueDepth int    `json:"queue_depth"`
 	Queued     int    `json:"queued"`
 	Inflight   int64  `json:"inflight"`
@@ -680,21 +655,10 @@ type Health struct {
 	Quarantined []string `json:"quarantined_cells,omitempty"`
 }
 
-// shardExecName renders the executor for /healthz: empty (omitted)
-// unless jobs actually run sharded under the parallel executor.
-func shardExecName(cfg Config) string {
-	if cfg.Shards > 1 && cfg.ShardExec == sim.ExecParallel {
-		return cfg.ShardExec.String()
-	}
-	return ""
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := Health{
 		Status:           "ok",
 		Workers:          s.cfg.Workers,
-		Shards:           s.cfg.Shards,
-		ShardExec:        shardExecName(s.cfg),
 		QueueDepth:       s.cfg.QueueDepth,
 		Queued:           len(s.queue),
 		Inflight:         s.inflight.Load(),

@@ -38,17 +38,14 @@ const Forever = Time(^uint64(0))
 var KernelParanoid bool
 
 // eventRef is one heap entry: the firing time, a sequence number that
-// breaks same-time ties in scheduling order (determinism), the index
-// of the slot holding the callback, and the event shard it is queued
-// on (always 0 on an unsharded kernel). Refs are plain values — a heap
-// is a []eventRef and sifting moves 24-byte records (the shard tag
-// lives in what used to be padding), never pointers the GC has to
-// trace.
+// breaks same-time ties in scheduling order (determinism), and the
+// index of the slot holding the callback. Refs are plain values — the
+// heap is a []eventRef and sifting moves 24-byte records, never
+// pointers the GC has to trace.
 type eventRef struct {
-	at    Time
-	seq   uint64
-	idx   int32
-	shard int16
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // eventSlot holds a scheduled event: either a plain callback (fn) or a
@@ -63,9 +60,6 @@ type eventSlot struct {
 	proc *Proc
 	gen  uint32
 	next int32 // free-list link; meaningful only while free
-	// shard mirrors the queue the slot's ref lives on, so Timer.Stop on
-	// a sharded kernel can credit the tombstone to the right queue.
-	shard int16
 }
 
 // Kernel is the discrete-event engine. The zero value is not usable;
@@ -73,7 +67,7 @@ type eventSlot struct {
 type Kernel struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue []eventRef
 	slots []eventSlot
 	free  int32 // head of the slot free list, -1 when empty
 	// tombstones counts cancelled timers still occupying queue entries.
@@ -83,11 +77,6 @@ type Kernel struct {
 	// outnumber half the live events.
 	tombstones int
 	procs      []*Proc
-
-	// sh holds the event-shard state when Shard was called; nil on a
-	// serial kernel, whose hot paths pay only this nil check (see
-	// shard.go and DESIGN.md §16).
-	sh *shardSet
 
 	// paranoid disables the WaitUntil fast path (see KernelParanoid).
 	paranoid bool
@@ -220,88 +209,61 @@ func (k *Kernel) freeSlot(idx int32) {
 	k.free = idx
 }
 
-// eventHeap is a binary min-heap of eventRef values ordered by refLess.
-// The serial kernel owns one; a sharded kernel owns one per shard.
-type eventHeap []eventRef
-
 // push adds a heap entry (sift-up on the value slice).
-func (h *eventHeap) push(ref eventRef) {
-	*h = append(*h, ref)
-	q := *h
-	i := len(q) - 1
+func (k *Kernel) push(at Time, seq uint64, idx int32) {
+	k.queue = append(k.queue, eventRef{at: at, seq: seq, idx: idx})
+	i := len(k.queue) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !refLess(q[i], q[parent]) {
+		if !refLess(k.queue[i], k.queue[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		k.queue[i], k.queue[parent] = k.queue[parent], k.queue[i]
 		i = parent
 	}
 }
 
 // popRoot removes and returns the minimum heap entry.
-func (h *eventHeap) popRoot() eventRef {
-	q := *h
-	root := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	q.siftDown(0)
+func (k *Kernel) popRoot() eventRef {
+	root := k.queue[0]
+	n := len(k.queue) - 1
+	k.queue[0] = k.queue[n]
+	k.queue = k.queue[:n]
+	k.siftDown(0)
 	return root
 }
 
-func (q eventHeap) siftDown(i int) {
-	n := len(q)
+func (k *Kernel) siftDown(i int) {
+	n := len(k.queue)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && refLess(q[r], q[l]) {
+		if r := l + 1; r < n && refLess(k.queue[r], k.queue[l]) {
 			m = r
 		}
-		if !refLess(q[m], q[i]) {
+		if !refLess(k.queue[m], k.queue[i]) {
 			return
 		}
-		q[i], q[m] = q[m], q[i]
+		k.queue[i], k.queue[m] = k.queue[m], k.queue[i]
 		i = m
 	}
 }
 
-// schedule allocates a slot for fn and queues it at time t. On a
-// sharded kernel the event lands on the shard of the event currently
-// dispatching (a plain callback is machinery of whoever scheduled it);
-// message deliveries that belong to a *different* component use
-// AtOn/scheduleOn to name the receiving shard explicitly.
+// schedule allocates a slot for fn and queues it at time t.
 func (k *Kernel) schedule(t Time, fn func()) (int32, uint32) {
-	var shard int16
-	if k.sh != nil {
-		shard = k.sh.cur()
-	}
-	return k.scheduleOn(shard, t, fn)
-}
-
-// scheduleOn is schedule with an explicit target shard.
-func (k *Kernel) scheduleOn(shard int16, t Time, fn func()) (int32, uint32) {
 	k.seq++
 	k.scheduled++
 	idx, gen := k.allocSlot(fn, nil)
-	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: shard}
-	if k.sh == nil {
-		k.queue.push(ref)
-		return idx, gen
-	}
-	k.slots[idx].shard = shard
-	k.sh.enqueue(k, ref)
+	k.push(t, k.seq, idx)
 	return idx, gen
 }
 
 // scheduleResume queues proc p to resume at time t. Resumes are tagged
 // in the slot (rather than hidden in a closure) so the dispatcher can
-// hand the control token straight to p's goroutine. On a sharded
-// kernel a resume always lands on the proc's home shard.
+// hand the control token straight to p's goroutine.
 func (k *Kernel) scheduleResume(t Time, p *Proc) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
@@ -309,13 +271,7 @@ func (k *Kernel) scheduleResume(t Time, p *Proc) {
 	k.seq++
 	k.scheduled++
 	idx, _ := k.allocSlot(nil, p)
-	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: p.shard}
-	if k.sh == nil {
-		k.queue.push(ref)
-		return
-	}
-	k.slots[idx].shard = p.shard
-	k.sh.enqueue(k, ref)
+	k.push(t, k.seq, idx)
 }
 
 // At schedules fn to run at time t. Scheduling in the past is an error
@@ -329,28 +285,6 @@ func (k *Kernel) At(t Time, fn func()) {
 
 // After schedules fn to run d cycles from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
-// AtOn schedules fn at time t on an explicit event shard — the entry
-// point for cross-shard message delivery (a NoC send, a ULI response):
-// the event belongs to the *receiving* component's shard even though
-// the sender schedules it. On a serial kernel it is exactly At. A post
-// to another shard closer than the kernel's lookahead is counted as a
-// lookahead violation (see ShardStats); it cannot perturb results —
-// dispatch order is the global (time, seq) order regardless — but it
-// flags a latency bound the partitioning relied on as broken.
-func (k *Kernel) AtOn(shard int, t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
-	}
-	if k.sh == nil {
-		k.schedule(t, fn)
-		return
-	}
-	if shard < 0 || shard >= len(k.sh.queues) {
-		panic(fmt.Sprintf("sim: AtOn shard %d out of range [0,%d)", shard, len(k.sh.queues)))
-	}
-	k.scheduleOn(int16(shard), t, fn)
-}
 
 // Timer is a cancellable one-shot event, the building block for
 // simulated-cycle timeouts (e.g. the ULI steal-request timeout). A
@@ -380,18 +314,8 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	s.fn = nil
-	if sh := t.k.sh; sh != nil {
-		sq := &sh.queues[s.shard]
-		sq.tombstones++
-		t.k.compactQueue(&sq.q, &sq.tombstones)
-		// The stop (or the compaction it triggered) may have removed or
-		// replaced this shard's cached root; re-seat its leaf in the
-		// merge tree. An interior tombstone returns in O(1).
-		sh.refreshLeaf(t.k, s.shard)
-		return true
-	}
 	t.k.tombstones++
-	t.k.compactQueue(&t.k.queue, &t.k.tombstones)
+	t.k.compactIfNeeded()
 	return true
 }
 
@@ -422,80 +346,50 @@ func (k *Kernel) TimerAfter(d Time, fn func()) *Timer { return k.TimerAt(k.now+d
 // below it the lazy pop-time skip is always cheaper.
 const compactTombstoneFloor = 32
 
-// compactQueue rebuilds one heap without tombstones once cancelled
+// compactIfNeeded rebuilds the queue without tombstones once cancelled
 // entries outnumber half the live events, bounding queue growth under
 // arm/cancel churn (the ULI steal timeout pattern) to O(live events).
-// The serial queue and every shard queue compact independently.
-func (k *Kernel) compactQueue(q *eventHeap, tombstones *int) {
-	if *tombstones < compactTombstoneFloor {
+func (k *Kernel) compactIfNeeded() {
+	if k.tombstones < compactTombstoneFloor {
 		return
 	}
-	if live := len(*q) - *tombstones; *tombstones <= live/2 {
+	if live := len(k.queue) - k.tombstones; k.tombstones <= live/2 {
 		return
 	}
-	heap := *q
 	w := 0
-	for _, ref := range heap {
+	for _, ref := range k.queue {
 		if s := &k.slots[ref.idx]; s.fn == nil && s.proc == nil {
 			k.freeSlot(ref.idx)
 			continue
 		}
-		heap[w] = ref
+		k.queue[w] = ref
 		w++
 	}
-	heap = heap[:w]
-	*q = heap
-	*tombstones = 0
+	k.queue = k.queue[:w]
+	k.tombstones = 0
 	for i := w/2 - 1; i >= 0; i-- {
-		heap.siftDown(i)
+		k.siftDown(i)
 	}
 }
 
 // QueueLen returns the number of queue entries, including
-// not-yet-reclaimed tombstones (diagnostics and tests). On a sharded
-// kernel it sums over shard queues.
-func (k *Kernel) QueueLen() int {
-	if k.sh != nil {
-		n := 0
-		for i := range k.sh.queues {
-			n += len(k.sh.queues[i].q)
-		}
-		if ex := k.sh.exec; ex != nil {
-			n += ex.pending
-		}
-		return n
-	}
-	return len(k.queue)
-}
+// not-yet-reclaimed tombstones (diagnostics and tests).
+func (k *Kernel) QueueLen() int { return len(k.queue) }
 
-// Tombstones returns the number of cancelled entries still queued,
-// summed over shard queues on a sharded kernel.
-func (k *Kernel) Tombstones() int {
-	if k.sh != nil {
-		n := 0
-		for i := range k.sh.queues {
-			n += k.sh.queues[i].tombstones
-		}
-		return n
-	}
-	return k.tombstones
-}
+// Tombstones returns the number of cancelled entries still queued.
+func (k *Kernel) Tombstones() int { return k.tombstones }
 
 // peekLive returns the firing time of the earliest live event,
 // discarding any tombstones it finds at the root on the way. Tombstone
 // reclamation has no observable effect on simulated time, so doing it
 // here (from a Proc's wait) is equivalent to doing it in Run.
 func (k *Kernel) peekLive() (Time, bool) {
-	if k.sh != nil {
-		ref, ok := k.sh.peekMin()
-		return ref.at, ok
-	}
 	for len(k.queue) > 0 {
 		ref := k.queue[0]
 		if s := &k.slots[ref.idx]; s.fn != nil || s.proc != nil {
 			return ref.at, true
 		}
-		k.queue.popRoot()
+		k.popRoot()
 		k.tombstones--
 		k.freeSlot(ref.idx)
 	}
@@ -520,12 +414,10 @@ const (
 
 // dispatch is the event loop, runnable from any goroutine that holds
 // the control token: the kernel goroutine inside Run (onKernel true),
-// a proc yielding in WaitUntil/Block (self = that proc), a proc whose
-// body just returned (self nil, onKernel false), or a parallel-executor
-// worker that just fired a callback (onWorker = that worker). Exactly
-// one goroutine runs it at a time — the token is only ever passed
-// through a channel handoff — so it may touch all kernel state
-// lock-free.
+// a proc yielding in WaitUntil/Block (self = that proc), or a proc
+// whose body just returned (self nil, onKernel false). Exactly one
+// goroutine runs it at a time — the token is only ever passed through
+// a channel handoff — so it may touch all kernel state lock-free.
 //
 // Running the dispatcher on whichever goroutine just yielded is the
 // point: handing control from proc A to proc B costs one channel
@@ -533,7 +425,7 @@ const (
 // resumes run inline with no switch at all, and a proc that pops its
 // own resume just keeps going. Event pop order is identical to a
 // kernel-centric loop, so cycle counts are unchanged.
-func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispatchOutcome {
+func (k *Kernel) dispatch(self *Proc, onKernel bool) dispatchOutcome {
 	for {
 		if k.err != nil || k.cbPanic != nil {
 			return k.parkDispatch(onKernel)
@@ -542,38 +434,23 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 			k.interruptHit = true
 			return k.parkDispatch(onKernel)
 		}
-		if k.sh == nil {
-			if len(k.queue) == 0 {
-				return k.parkDispatch(onKernel)
-			}
-		} else if !k.sh.hasQueued() {
+		if len(k.queue) == 0 {
 			return k.parkDispatch(onKernel)
 		}
 		if k.stop != nil && k.stop() {
 			k.stopHit = true
 			return k.parkDispatch(onKernel)
 		}
-		var ref eventRef
-		if k.sh == nil {
-			ref = k.queue.popRoot()
-			s := &k.slots[ref.idx]
-			if s.proc == nil && s.fn == nil {
-				// A stopped Timer: skip without advancing time, so cancelled
-				// timeouts leave no trace in the cycle count.
-				k.tombstones--
-				k.freeSlot(ref.idx)
-				continue
-			}
-		} else {
-			var live bool
-			if ref, live = k.sh.popMin(k); !live {
-				// Only tombstones were queued and popMin reclaimed them
-				// all; loop back to the empty check.
-				continue
-			}
-		}
+		ref := k.popRoot()
 		s := &k.slots[ref.idx]
 		p, fn := s.proc, s.fn
+		if p == nil && fn == nil {
+			// A stopped Timer: skip without advancing time, so cancelled
+			// timeouts leave no trace in the cycle count.
+			k.tombstones--
+			k.freeSlot(ref.idx)
+			continue
+		}
 		if ref.at > k.maxTime {
 			k.deadlineHit, k.deadlineAt = true, ref.at
 			return k.parkDispatch(onKernel)
@@ -584,9 +461,6 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 		// callback may immediately reuse the slot for a new event.
 		k.freeSlot(ref.idx)
 		k.fired++
-		if k.sh != nil {
-			k.sh.onFire(ref)
-		}
 		if p != nil {
 			if p.finished {
 				k.cbPanic = fmt.Sprintf("sim: resuming finished proc %q", p.name)
@@ -601,21 +475,6 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 			}
 			p.cont <- struct{}{}
 			return dispatchHandoff
-		}
-		if k.sh != nil && k.sh.exec != nil {
-			// Parallel executor: a plain callback belongs to its shard's
-			// pool worker. The send carries the token with it; the worker
-			// fires the callback and keeps dispatching. A callback whose
-			// worker already holds the token runs inline — on a run of
-			// same-shard events (the loser tree's fast path) every event
-			// after the first costs zero handoffs.
-			ex := k.sh.exec
-			if w := ex.workerFor(ref.shard); w != onWorker {
-				ex.handoffs++
-				w.cont <- fn
-				return dispatchHandoff
-			}
-			ex.inline++
 		}
 		if !k.fire(fn) {
 			return k.parkDispatch(onKernel)
@@ -655,20 +514,8 @@ func (k *Kernel) parkDispatch(onKernel bool) dispatchOutcome {
 func (k *Kernel) Run(stop func() bool) error {
 	k.stop = stop
 	defer func() { k.stop = nil }()
-	if k.sh != nil {
-		// Publish the token-owned shard (and executor) counters on every
-		// exit path, so ShardStats/ExecStats are exact after Run.
-		defer k.sh.publish()
-	}
-	if k.sh != nil && k.sh.exec != nil {
-		// Parallel executor: the pool lives for the duration of this Run.
-		// stop runs while Run holds the token, when every worker is
-		// parked at its channel receive, so the close/join is race-free.
-		k.sh.exec.start()
-		defer k.sh.exec.stop()
-	}
 	for {
-		if k.dispatch(nil, true, nil) == dispatchHandoff {
+		if k.dispatch(nil, true) == dispatchHandoff {
 			// The token is circulating among proc goroutines; park until
 			// a dispatcher hits a run-level condition.
 			<-k.done
@@ -694,7 +541,7 @@ func (k *Kernel) Run(stop func() bool) error {
 			reason := *k.intrReason.Swap(nil)
 			return k.watchdogErr("interrupted: " + reason)
 		}
-		if k.QueueLen() == 0 {
+		if len(k.queue) == 0 {
 			break
 		}
 	}
@@ -723,12 +570,8 @@ func (k *Kernel) DumpState(w io.Writer) {
 			finished++
 		}
 	}
-	queued, dead := k.QueueLen(), k.Tombstones()
 	fmt.Fprintf(w, "kernel: cycle=%d queued-events=%d (%d cancelled) procs=%d/%d finished\n",
-		k.now, queued-dead, dead, finished, len(k.procs))
-	if k.sh != nil {
-		k.sh.dump(w)
-	}
+		k.now, len(k.queue)-k.tombstones, k.tombstones, finished, len(k.procs))
 	for _, p := range k.procs {
 		if p.finished {
 			continue

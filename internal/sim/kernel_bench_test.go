@@ -67,119 +67,6 @@ func BenchmarkWaitUntil(b *testing.B) {
 	}
 }
 
-// mergeBenchLCG is a tiny deterministic generator so the tree and the
-// linear-scan reference below replay the exact same churn stream.
-type mergeBenchLCG uint64
-
-func (g *mergeBenchLCG) next() uint64 {
-	*g = *g*6364136223846793005 + 1442695040888963407
-	return uint64(*g >> 33)
-}
-
-// linearScanMerge is the pre-tree merge this package shipped with: K
-// shard heaps, global minimum found by scanning every root, O(K) per
-// pop. Kept here as the microbenchmark baseline the tournament tree is
-// measured against.
-type linearScanMerge struct {
-	queues []eventHeap
-}
-
-func (lm *linearScanMerge) popMin() (eventRef, bool) {
-	best := -1
-	for s := range lm.queues {
-		if len(lm.queues[s]) == 0 {
-			continue
-		}
-		if best < 0 || refLess(lm.queues[s][0], lm.queues[best][0]) {
-			best = s
-		}
-	}
-	if best < 0 {
-		return eventRef{}, false
-	}
-	ref := lm.queues[best][0]
-	lm.queues[best].popRoot()
-	return ref, true
-}
-
-// mergeChurn yields the shared synthetic workload: after prefilling
-// depth events per shard, each iteration pops the global minimum and
-// pushes a replacement a short, pseudo-random distance ahead on a
-// pseudo-random shard — the steady-state pop/push rhythm of a live
-// kernel, with enough cross-shard churn that neither structure coasts
-// on a single hot shard.
-const (
-	mergeBenchShards = 64
-	mergeBenchDepth  = 16
-)
-
-func mergeBenchRef(g *mergeBenchLCG, at Time, seq uint64) eventRef {
-	return eventRef{
-		at:    at + 1 + Time(g.next()%97),
-		seq:   seq,
-		shard: int16(g.next() % mergeBenchShards),
-	}
-}
-
-// BenchmarkMergeTreeK64 drives the real shard-merge machinery (winner
-// tree + challenger cache) at K=64. Compare against
-// BenchmarkMergeLinearK64: the tree must win, or the K=64 executor
-// claim in DESIGN.md §17 is void.
-func BenchmarkMergeTreeK64(b *testing.B) {
-	k := NewKernel()
-	k.Shard(mergeBenchShards, 2)
-	// One live slot shared by every ref: skimDead sees fn != nil and
-	// leaves the roots alone, so the benchmark measures pure merge cost.
-	k.slots = append(k.slots, eventSlot{fn: func() {}})
-	ss := k.sh
-	g := mergeBenchLCG(1)
-	seq := uint64(0)
-	for s := 0; s < mergeBenchShards; s++ {
-		for d := 0; d < mergeBenchDepth; d++ {
-			ref := mergeBenchRef(&g, 0, seq)
-			seq++
-			ss.push(ref)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, ok := ss.popMin(k)
-		if !ok {
-			b.Fatal("merge ran dry")
-		}
-		next := mergeBenchRef(&g, ref.at, seq)
-		seq++
-		ss.push(next)
-	}
-}
-
-// BenchmarkMergeLinearK64 replays the identical churn stream through
-// the linear-scan baseline.
-func BenchmarkMergeLinearK64(b *testing.B) {
-	lm := &linearScanMerge{queues: make([]eventHeap, mergeBenchShards)}
-	g := mergeBenchLCG(1)
-	seq := uint64(0)
-	for s := 0; s < mergeBenchShards; s++ {
-		for d := 0; d < mergeBenchDepth; d++ {
-			ref := mergeBenchRef(&g, 0, seq)
-			seq++
-			lm.queues[ref.shard].push(ref)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, ok := lm.popMin()
-		if !ok {
-			b.Fatal("merge ran dry")
-		}
-		next := mergeBenchRef(&g, ref.at, seq)
-		seq++
-		lm.queues[next.shard].push(next)
-	}
-}
-
 // BenchmarkTwoProcPingPong measures the unavoidable slow path: two
 // procs whose waits interleave, so every wait really does cross an
 // event boundary and a goroutine handoff.

@@ -16,9 +16,6 @@ type Proc struct {
 	finished bool
 	started  bool
 	body     func(*Proc)
-	// shard is the event shard all of this proc's resume events land on
-	// (always 0 on a serial kernel). Fixed at NewProcOn time.
-	shard int16
 	// blockedSince is the cycle at which the proc last yielded; DumpState
 	// reports it for unfinished procs.
 	blockedSince Time
@@ -26,34 +23,18 @@ type Proc struct {
 
 // NewProc registers a simulated thread that begins executing body at
 // time start. The body receives the Proc so it can wait on simulated
-// time. The proc lives on event shard 0; use NewProcOn to place it on
-// another shard of a sharded kernel.
+// time.
 func (k *Kernel) NewProc(name string, start Time, body func(*Proc)) *Proc {
-	return k.NewProcOn(0, name, start, body)
-}
-
-// NewProcOn is NewProc with an explicit home shard: every resume event
-// for the proc (including the initial one scheduled here) is queued on
-// that shard. On a serial kernel only shard 0 is valid.
-func (k *Kernel) NewProcOn(shard int, name string, start Time, body func(*Proc)) *Proc {
-	if shard < 0 || shard >= k.NumShards() {
-		panic(fmt.Sprintf("sim: proc %q on shard %d of a %d-shard kernel",
-			name, shard, k.NumShards()))
-	}
 	p := &Proc{
-		k:     k,
-		name:  name,
-		cont:  make(chan struct{}),
-		body:  body,
-		shard: int16(shard),
+		k:    k,
+		name: name,
+		cont: make(chan struct{}),
+		body: body,
 	}
 	k.procs = append(k.procs, p)
 	k.scheduleResume(start, p)
 	return p
 }
-
-// Shard returns the proc's home event shard (0 on a serial kernel).
-func (p *Proc) Shard() int { return int(p.shard) }
 
 // main is the proc's goroutine: wait for the first token delivery, run
 // the body (trapping a crash into the kernel error), then pass the
@@ -70,7 +51,7 @@ func (p *Proc) main() {
 		}()
 		p.body(p)
 	}()
-	p.k.dispatch(nil, false, nil)
+	p.k.dispatch(nil, false)
 }
 
 // Kernel returns the kernel this proc runs on.
@@ -140,7 +121,7 @@ func (p *Proc) Unblock(t Time) {
 // and the proc parks until a later dispatcher delivers it back.
 func (p *Proc) yield() {
 	p.blockedSince = p.k.now
-	if p.k.dispatch(p, false, nil) == dispatchSelf {
+	if p.k.dispatch(p, false) == dispatchSelf {
 		return
 	}
 	<-p.cont

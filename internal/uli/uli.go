@@ -80,21 +80,6 @@ type Fabric struct {
 	// responses write the thief's registers at victim send time, so
 	// fault-free cycle counts are untouched by the recovery machinery.
 	Timeout sim.Time
-
-	// ShardOf maps a core to its event shard on a sharded kernel (set
-	// by the machine layer from its ShardPlan; nil when serial). A ULI
-	// delivery is a cross-core message, so its arrival event belongs to
-	// the *receiving* core's shard, not the sender's.
-	ShardOf func(core int) int
-}
-
-// at schedules a message-arrival event on the receiving core's shard.
-func (f *Fabric) at(core int, t sim.Time, fn func()) {
-	if f.ShardOf != nil {
-		f.kernel.AtOn(f.ShardOf(core), t, fn)
-		return
-	}
-	f.kernel.At(t, fn)
 }
 
 // NewFabric builds the ULI network for numCores cores whose positions
@@ -243,7 +228,7 @@ func (u *Unit) SendReq(proc *sim.Proc, victim int) (payload uint64, ok bool) {
 			return 0, false
 		}
 	} else {
-		f.at(victim, arrive, func() {
+		f.kernel.At(arrive, func() {
 			v.receive(arrive, &request{
 				thief: u.core, arrived: arrive, sentAt: sentAt, epoch: ep})
 		})
@@ -295,7 +280,7 @@ func (f *Fabric) nack(now sim.Time, victim *Unit, req *request) {
 		t.unblockAt(arrive)
 		return
 	}
-	f.at(req.thief, arrive, func() { t.deliverResp(arrive, req.epoch, 0, false) })
+	f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, 0, false) })
 }
 
 // deliverResp runs in the kernel at response-arrival time on the thief
@@ -398,7 +383,7 @@ func (u *Unit) Poll(proc *sim.Proc) {
 		t.respPayload, t.respOK, t.respAt = payload, true, arrive
 		t.unblockAt(arrive)
 	} else {
-		f.at(req.thief, arrive, func() { t.deliverResp(arrive, req.epoch, payload, true) })
+		f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, payload, true) })
 	}
 	u.handling = false
 }
